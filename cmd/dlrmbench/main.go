@@ -52,24 +52,20 @@ func main() {
 	wait := flag.Duration("wait", 2*time.Millisecond, "serving mode: max coalesce wait before a partial batch flushes")
 	metrics := flag.Bool("metrics", false, "print an observability snapshot (per-technique counts, latency percentiles) after the runs")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and pprof on this address during the runs")
-	autotune := flag.String("autotune", "on", "probe matmul kernel configs before timing (on/off)")
+	autotune := profile.Autotune(true)
+	flag.Var(&autotune, "autotune", "probe matmul kernel configs before timing (on/off)")
 	plan := flag.Bool("plan", false, "adaptive planner demo: drive a shard-skewed drifting workload and print each per-shard re-plan decision as shards hot-swap techniques independently")
 	planFile := flag.String("plan-file", "", "with -plan: persist/reuse the fitted cost model at this path (a matching file skips the analytic-prior warmup)")
 	planAssert := flag.Bool("plan-assert", false, "with -plan: exit non-zero unless ≥2 shards reach distinct techniques at steady state (CI regression mode)")
 	flag.Parse()
 
-	switch *autotune {
-	case "on":
-		tensor.Autotune()
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "-autotune must be on or off, got %q\n", *autotune)
-		os.Exit(2)
-	}
-
 	var reg *obs.Registry
 	if *metrics || *metricsAddr != "" {
 		reg = obs.NewRegistry()
+	}
+	if err := autotune.SetupTuning("", reg, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *metricsAddr != "" {
 		addr, _, err := obs.Serve(*metricsAddr, reg)
@@ -224,15 +220,14 @@ func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
 		panic(err)
 	}
 	if planFile != "" {
-		m, installed, err := profile.InstallCostModelFile(planFile, reg)
+		n, loaded, err := pl.LoadCostModel(planFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "-plan-file:", err)
 			os.Exit(2)
 		}
-		if installed {
-			pl.SeedCostModel(m)
+		if loaded {
 			fmt.Printf("cost model loaded from %s (%d streams) — first re-plan predicts from persisted EWMAs\n",
-				planFile, len(m.Entries))
+				planFile, n)
 		}
 	}
 
@@ -284,7 +279,7 @@ func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
 	fmt.Printf("steady state: per-shard plan %v — %d distinct techniques on one table\n", keys, len(distinct))
 
 	if planFile != "" {
-		if err := profile.SaveCostModelFile(planFile, pl.ExportCostModel()); err != nil {
+		if err := pl.SaveCostModel(planFile); err != nil {
 			fmt.Fprintln(os.Stderr, "-plan-file save:", err)
 			os.Exit(2)
 		}

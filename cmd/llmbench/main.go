@@ -34,6 +34,7 @@ import (
 	"secemb/internal/core"
 	"secemb/internal/llm"
 	"secemb/internal/obs"
+	"secemb/internal/profile"
 	"secemb/internal/serving"
 	"secemb/internal/serving/backends"
 	"secemb/internal/tensor"
@@ -55,21 +56,17 @@ func main() {
 	wait := flag.Duration("wait", 2*time.Millisecond, "serving mode: max coalesce wait before a partial batch flushes")
 	metrics := flag.Bool("metrics", false, "print an observability snapshot after the runs")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and pprof on this address during the runs")
-	autotune := flag.String("autotune", "on", "probe matmul kernel configs before timing (on/off)")
+	autotune := profile.Autotune(true)
+	flag.Var(&autotune, "autotune", "probe matmul kernel configs before timing (on/off)")
 	flag.Parse()
-
-	switch *autotune {
-	case "on":
-		tensor.Autotune()
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "-autotune must be on or off, got %q\n", *autotune)
-		os.Exit(2)
-	}
 
 	var reg *obs.Registry
 	if *metrics || *metricsAddr != "" {
 		reg = obs.NewRegistry()
+	}
+	if err := autotune.SetupTuning("", reg, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *metricsAddr != "" {
 		addr, _, err := obs.Serve(*metricsAddr, reg)

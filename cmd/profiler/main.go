@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -45,9 +46,13 @@ func main() {
 	flag.Parse()
 
 	if *load != "" {
-		db, err := profile.LoadFile(*load)
+		db, loaded, err := profile.Thresholds.Load(*load, nil)
 		if err != nil {
 			panic(err)
+		}
+		if !loaded {
+			fmt.Fprintf(os.Stderr, "%s holds no threshold DB recorded on this machine: re-profile\n", *load)
+			os.Exit(1)
 		}
 		fmt.Printf("loaded threshold DB: dim=%d kind=%s\n", db.Dim, db.Kind)
 		for _, cfg := range db.SortedConfigs() {
@@ -72,7 +77,7 @@ func main() {
 	fmt.Printf("\nhybrid range on this host: [%d, %d]\n", lo, hi)
 	fmt.Println("tables below the range always use linear scan; above it, always DHE (Algorithm 3)")
 	if *save != "" {
-		if err := db.SaveFile(*save); err != nil {
+		if err := profile.Thresholds.Save(*save, db); err != nil {
 			panic(err)
 		}
 		fmt.Printf("threshold DB saved to %s (reload with -load)\n", *save)

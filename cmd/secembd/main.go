@@ -75,7 +75,7 @@ type config struct {
 	seed       int64
 	tlsCert    string
 	tlsKey     string
-	autotune   string
+	autotune   profile.Autotune
 	tuneFile   string
 	int8       bool
 	plan       bool
@@ -98,7 +98,7 @@ type config struct {
 func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs := flag.NewFlagSet("secembd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	c := &config{}
+	c := &config{autotune: true}
 	fs.StringVar(&c.addr, "addr", ":9090", "serve: listen address")
 	fs.StringVar(&c.technique, "technique", "dual", "serve: dual or a core technique key (scan, scanb, path, circuit, dhe, lookup); under -plan the static dual hybrid is superseded, so dual maps to scanb as the starting technique and the planner re-fits from there")
 	fs.IntVar(&c.rows, "rows", 4096, "serve: embedding table cardinality")
@@ -117,7 +117,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.Int64Var(&c.seed, "seed", 1, "serve: representation seed / soak: id stream seed")
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve: PEM certificate file; with -tls-key, terminate TLS on the listener")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "serve: PEM private key file for -tls-cert")
-	fs.StringVar(&c.autotune, "autotune", "on", "serve: probe matmul kernel configs at startup (on/off)")
+	fs.Var(&c.autotune, "autotune", "serve: probe matmul kernel configs at startup (on/off)")
 	fs.StringVar(&c.tuneFile, "tune-file", "", "serve: persist/reuse the autotuned kernel config at this path (skips the probe when the recorded machine matches)")
 	fs.BoolVar(&c.int8, "int8", true, "serve: quantized int8 DHE decoder when the accuracy gate passes (dhe and dual techniques)")
 	fs.BoolVar(&c.plan, "plan", false, "serve: adaptive planner re-fits the technique choice online and hot-swaps tables (replaces the static dual hybrid)")
@@ -231,15 +231,14 @@ func buildGroup(c *config, reg *obs.Registry, stdout io.Writer) (*serving.Group,
 		return nil, nil, err
 	}
 	if c.planFile != "" {
-		m, installed, err := profile.InstallCostModelFile(c.planFile, reg)
+		n, loaded, err := pl.LoadCostModel(c.planFile)
 		if err != nil {
 			group.Close()
 			return nil, nil, fmt.Errorf("-plan-file: %v", err)
 		}
-		if installed {
-			pl.SeedCostModel(m)
+		if loaded {
 			fmt.Fprintf(stdout, "secembd: planner cost model loaded from %s (%d streams) — skipping analytic-prior warmup\n",
-				c.planFile, len(m.Entries))
+				c.planFile, n)
 		}
 	}
 	pl.Start()
@@ -262,37 +261,6 @@ func planInitial(c *config, stdout io.Writer) (core.Technique, error) {
 			c.technique)
 	}
 	return core.ParseTechnique(c.technique)
-}
-
-// setupTuning applies the startup kernel autotuner policy: reuse a
-// matching -tune-file when given, otherwise run the ~100ms probe (unless
-// -autotune=off), and persist the winner back to -tune-file. The probe
-// measures public architecture shapes only — nothing secret-dependent.
-func setupTuning(c *config, reg *obs.Registry, stdout io.Writer) error {
-	if c.autotune != "on" && c.autotune != "off" {
-		return fmt.Errorf("-autotune must be on or off, got %q", c.autotune)
-	}
-	if c.tuneFile != "" {
-		installed, err := profile.InstallTuneFile(c.tuneFile, reg)
-		if err != nil {
-			return fmt.Errorf("-tune-file: %v", err)
-		}
-		if installed {
-			fmt.Fprintf(stdout, "secembd: kernel config loaded from %s: %+v\n", c.tuneFile, tensor.CurrentTune())
-			return nil
-		}
-	}
-	if c.autotune == "off" {
-		return nil
-	}
-	tc := tensor.Autotune()
-	fmt.Fprintf(stdout, "secembd: kernel autotune: %+v\n", tc)
-	if c.tuneFile != "" {
-		if err := profile.SaveTuneFile(c.tuneFile, profile.CurrentMachineTune()); err != nil {
-			return fmt.Errorf("-tune-file: %v", err)
-		}
-	}
-	return nil
 }
 
 func buildGenerator(c *config, reg *obs.Registry, shardLabel string) (core.Generator, error) {
@@ -354,8 +322,8 @@ func runServe(c *config, stdout, stderr io.Writer) int {
 		return 2
 	}
 	reg := obs.NewRegistry()
-	if terr := setupTuning(c, reg, stdout); terr != nil {
-		fmt.Fprintln(stderr, "secembd:", terr)
+	if terr := c.autotune.SetupTuning(c.tuneFile, reg, stdout); terr != nil {
+		fmt.Fprintln(stderr, "secembd: -tune-file:", terr)
 		return 2
 	}
 	// Publish the installed kernel config (tensor_tune_* gauges) and the
@@ -402,7 +370,7 @@ func runServe(c *config, stdout, stderr io.Writer) int {
 		if c.planFile != "" {
 			// Persist the fitted cost model so the next start predicts from
 			// today's observed curves instead of the analytic priors.
-			if serr := profile.SaveCostModelFile(c.planFile, pl.ExportCostModel()); serr != nil {
+			if serr := pl.SaveCostModel(c.planFile); serr != nil {
 				fmt.Fprintln(stderr, "secembd: -plan-file save:", serr)
 			} else {
 				fmt.Fprintf(stdout, "secembd: planner cost model saved to %s\n", c.planFile)

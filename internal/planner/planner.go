@@ -17,7 +17,7 @@
 // replicas of the *same* shard still swap all-or-nothing (a shard split
 // across techniques would serve inconsistently), while different shards
 // plan and swap independently and concurrently. The fitted cost model can
-// be exported and persisted (profile.CostModel) so a restart warms from
+// be persisted (SaveCostModel/LoadCostModel) so a restart warms from
 // yesterday's observed curves instead of the analytic priors.
 //
 // Security (§V-B): every input to a plan decision is public. Rows, dim
@@ -497,11 +497,37 @@ func (p *Planner) swapShard(t *managedTable, ss *shardState, tech core.Technique
 	return nil
 }
 
-// ExportCostModel snapshots every fitted EWMA stream — the observed
-// per-(shard, technique) latency/batch curves — stamped with this
-// machine's fingerprint, for persisting via profile.SaveCostModelFile.
-// Entries are sorted for deterministic output.
-func (p *Planner) ExportCostModel() profile.CostModel {
+// SaveCostModel persists every fitted EWMA stream (the observed
+// per-(shard, technique) latency/batch curves) to path in the
+// profile.CostModel format, stamped with this machine's fingerprint.
+func (p *Planner) SaveCostModel(path string) error {
+	return profile.CostModel.Save(path, p.costEntries())
+}
+
+// LoadCostModel seeds the sampler from a cost model saved on this machine,
+// so the first re-plan decision predicts from the persisted curves instead
+// of the analytic priors; streams reports how many entries it read. A
+// missing file, or one recorded on another machine (logged and counted in
+// the planner's registry), loads nothing and is not an error. Call before
+// Start. Entries naming unknown techniques are ignored.
+func (p *Planner) LoadCostModel(path string) (streams int, loaded bool, err error) {
+	entries, loaded, err := profile.CostModel.Load(path, p.cfg.Reg)
+	if !loaded {
+		return 0, false, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, e := range entries {
+		if tech, perr := core.ParseTechnique(e.Tech); perr == nil {
+			p.sampler.seed(tech, e.Shard, e.EWMANs, e.EWMABatch)
+		}
+	}
+	return len(entries), true, nil
+}
+
+// costEntries snapshots the observed EWMA streams, sorted for
+// deterministic output.
+func (p *Planner) costEntries() []profile.CostEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var entries []profile.CostEntry
@@ -522,22 +548,5 @@ func (p *Planner) ExportCostModel() profile.CostModel {
 		}
 		return entries[i].Tech < entries[j].Tech
 	})
-	return profile.NewCostModel(entries)
-}
-
-// SeedCostModel pre-loads persisted EWMAs into the sampler so the first
-// re-plan decision predicts from yesterday's observed curves instead of
-// the analytic priors. Call before Start; the caller is responsible for
-// fingerprint discipline (profile.InstallCostModelFile skips mismatched
-// files). Entries naming unknown techniques are ignored.
-func (p *Planner) SeedCostModel(m profile.CostModel) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range m.Entries {
-		tech, err := core.ParseTechnique(e.Tech)
-		if err != nil {
-			continue
-		}
-		p.sampler.seed(tech, e.Shard, e.EWMANs, e.EWMABatch)
-	}
+	return entries
 }

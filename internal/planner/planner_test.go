@@ -8,7 +8,6 @@ import (
 
 	"secemb/internal/core"
 	"secemb/internal/obs"
-	"secemb/internal/profile"
 )
 
 func buildFor(rows, dim int, seed int64, reg *obs.Registry) func(int, core.Technique) (core.Generator, error) {
@@ -505,12 +504,11 @@ func TestCostModelRoundTripSkipsWarmup(t *testing.T) {
 	observe(regA, core.DHE, shard, 8, 100*time.Microsecond)
 	pA.ReplanNow() // folds the window into the sampler EWMAs (dwell blocks the swap)
 
-	m := pA.ExportCostModel()
-	if len(m.Entries) != 2 {
-		t.Fatalf("exported %d streams, want 2 (observed scanb + dhe): %+v", len(m.Entries), m.Entries)
+	if entries := pA.costEntries(); len(entries) != 2 {
+		t.Fatalf("exported %d streams, want 2 (observed scanb + dhe): %+v", len(entries), entries)
 	}
 	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := profile.SaveCostModelFile(path, m); err != nil {
+	if err := pA.SaveCostModel(path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -530,11 +528,9 @@ func TestCostModelRoundTripSkipsWarmup(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seeded {
-			loaded, installed, err := profile.InstallCostModelFile(path, reg)
-			if err != nil || !installed {
-				t.Fatalf("InstallCostModelFile: installed=%v err=%v", installed, err)
+			if n, loaded, err := p.LoadCostModel(path); err != nil || !loaded || n != 2 {
+				t.Fatalf("LoadCostModel: streams=%d loaded=%v err=%v", n, loaded, err)
 			}
-			p.SeedCostModel(loaded)
 		}
 		return p.ReplanNow()[0]
 	}

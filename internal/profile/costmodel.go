@@ -1,26 +1,19 @@
 package profile
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"runtime"
-
-	"secemb/internal/obs"
 )
 
 // Persisted planner cost model. The planner's crossover model is seeded
 // from analytic priors and refined by observed per-(shard, technique)
 // latency/batch EWMAs; those curves are machine-dependent the same way the
 // kernel tune is (they embed this host's memory bandwidth and core count),
-// so they persist under the same machine-fingerprint discipline as
-// MachineTune: save alongside the tune file, reload on start when the
-// fingerprint matches, silently re-warm from priors when it does not.
-// Everything in the file is public — shard labels are deployment topology,
-// techniques are configuration, and the EWMAs aggregate batch sizes and
-// clocks that never saw an id.
+// so they persist as the CostModel format: saved on shutdown, reloaded on
+// start when the fingerprint matches, re-warmed from priors when it does
+// not. Shard labels are deployment topology, techniques are configuration,
+// and the EWMAs aggregate batch sizes and clocks that never saw an id.
 
 // CostEntry is one fitted EWMA stream: a technique observed on a shard.
 type CostEntry struct {
@@ -35,97 +28,15 @@ type CostEntry struct {
 	EWMABatch float64 `json:"ewma_batch"`
 }
 
-// CostModel is the serialized planner state plus the machine fingerprint
-// it was measured on.
-type CostModel struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"numcpu"`
-
-	Entries []CostEntry `json:"entries"`
-}
-
-// NewCostModel stamps entries with this machine's fingerprint.
-func NewCostModel(entries []CostEntry) CostModel {
-	return CostModel{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Entries:    entries,
-	}
-}
-
-// Matches reports whether the recorded fingerprint describes the running
-// machine.
-func (m CostModel) Matches() bool {
-	return m.GOMAXPROCS == runtime.GOMAXPROCS(0) && m.NumCPU == runtime.NumCPU()
-}
-
-// SaveCostModel writes the model as JSON.
-func SaveCostModel(w io.Writer, m CostModel) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
-
-// LoadCostModel reads a model written by SaveCostModel, validating that
-// every entry is a usable observation.
-func LoadCostModel(r io.Reader) (CostModel, error) {
-	var m CostModel
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return CostModel{}, fmt.Errorf("profile: decoding cost model: %w", err)
-	}
-	for _, e := range m.Entries {
+// validateCostModel requires every entry to be a usable observation.
+func validateCostModel(entries []CostEntry) error {
+	for _, e := range entries {
 		if e.Tech == "" {
-			return CostModel{}, fmt.Errorf("profile: cost model entry %+v missing technique", e)
+			return errors.New("cost model entry missing technique")
 		}
-		if e.EWMANs <= 0 || math.IsNaN(e.EWMANs) || math.IsInf(e.EWMANs, 0) ||
-			e.EWMABatch < 0 || math.IsNaN(e.EWMABatch) || math.IsInf(e.EWMABatch, 0) {
-			return CostModel{}, fmt.Errorf("profile: cost model entry %+v has out-of-range EWMAs", e)
+		if !(e.EWMANs > 0) || math.IsInf(e.EWMANs, 0) || !(e.EWMABatch >= 0) || math.IsInf(e.EWMABatch, 0) {
+			return fmt.Errorf("cost model entry %+v has out-of-range EWMAs", e)
 		}
 	}
-	return m, nil
-}
-
-// SaveCostModelFile / LoadCostModelFile are path conveniences.
-func SaveCostModelFile(path string, m CostModel) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveCostModel(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadCostModelFile reads a cost model from disk.
-func LoadCostModelFile(path string) (CostModel, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return CostModel{}, err
-	}
-	defer f.Close()
-	return LoadCostModel(f)
-}
-
-// InstallCostModelFile loads path and returns the model when its
-// fingerprint matches this machine; installed reports whether it did. Like
-// InstallTuneFile, a missing file is not an error and a fingerprint
-// mismatch skips (the planner warms from analytic priors instead) — but
-// the skip is logged and counted
-// (profile_install_skipped_total{kind="costmodel"} in reg; reg may be nil)
-// so operators can tell a stale model from a loaded one.
-func InstallCostModelFile(path string, reg *obs.Registry) (m CostModel, installed bool, err error) {
-	m, err = LoadCostModelFile(path)
-	if os.IsNotExist(err) {
-		return CostModel{}, false, nil
-	}
-	if err != nil {
-		return CostModel{}, false, err
-	}
-	if !m.Matches() {
-		logInstallSkip(reg, "costmodel", path, m.GOMAXPROCS, m.NumCPU)
-		return CostModel{}, false, nil
-	}
-	return m, true, nil
+	return nil
 }

@@ -28,6 +28,20 @@ type ExecConfig struct {
 
 func (c ExecConfig) String() string { return fmt.Sprintf("batch=%d,threads=%d", c.Batch, c.Threads) }
 
+// MarshalText renders the String form, so a persisted DB's threshold map
+// has readable keys.
+func (c ExecConfig) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText parses exactly the String form.
+func (c *ExecConfig) UnmarshalText(text []byte) error {
+	var p ExecConfig
+	if _, err := fmt.Sscanf(string(text), "batch=%d,threads=%d", &p.Batch, &p.Threads); err != nil || p.String() != string(text) {
+		return fmt.Errorf("profile: bad execution config %q", text)
+	}
+	*c = p
+	return nil
+}
+
 // DHEKind selects the architecture-sizing policy being profiled.
 type DHEKind int
 
@@ -43,6 +57,22 @@ func (k DHEKind) String() string {
 		return "Varied"
 	}
 	return "Uniform"
+}
+
+// MarshalText renders the String form.
+func (k DHEKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses "Uniform" or "Varied".
+func (k *DHEKind) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "Uniform":
+		*k = Uniform
+	case "Varied":
+		*k = Varied
+	default:
+		return fmt.Errorf("profile: unknown DHE kind %q", text)
+	}
+	return nil
 }
 
 // Thread-scaling exponents. The profiling host for this reproduction is a
@@ -152,9 +182,9 @@ func crossing(sizes []int, scanNs, dheNs []float64) int {
 // ("the profiling ... is done once per system for each embedding
 // dimension", §IV-C1).
 type DB struct {
-	Dim        int
-	Kind       DHEKind
-	Thresholds map[ExecConfig]int
+	Dim        int                `json:"dim"`
+	Kind       DHEKind            `json:"kind"`
+	Thresholds map[ExecConfig]int `json:"thresholds"`
 }
 
 // BuildDB profiles every execution configuration in the cross product of

@@ -1,7 +1,7 @@
 package profile
 
 import (
-	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -164,11 +164,15 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 		{Batch: 8, Threads: 1}:   1200,
 		{Batch: 32, Threads: 16}: 4100,
 	}}
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	fp := CurrentFingerprint()
+	data, err := Thresholds.encode(fp, src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDB(&buf)
+	if !strings.Contains(string(data), `"batch=32,threads=16": 4100`) {
+		t.Fatalf("threshold keys must read as ExecConfig strings:\n%s", data)
+	}
+	got, err := Thresholds.decode(data, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +189,12 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 func TestDBSaveLoadFile(t *testing.T) {
 	src := &DB{Dim: 64, Kind: Uniform, Thresholds: map[ExecConfig]int{{Batch: 1, Threads: 1}: 99}}
 	path := filepath.Join(t.TempDir(), "thresholds.json")
-	if err := src.SaveFile(path); err != nil {
+	if err := Thresholds.Save(path, src); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	got, installed, err := Thresholds.Load(path, nil)
+	if err != nil || !installed {
+		t.Fatalf("load: installed=%v err=%v", installed, err)
 	}
 	if got.Kind != Uniform || got.Thresholds[ExecConfig{Batch: 1, Threads: 1}] != 99 {
 		t.Fatalf("file round trip: %+v", got)
@@ -198,13 +202,23 @@ func TestDBSaveLoadFile(t *testing.T) {
 }
 
 func TestLoadDBErrors(t *testing.T) {
-	if _, err := LoadDB(strings.NewReader("not json")); err == nil {
-		t.Fatal("bad JSON must error")
+	fp := CurrentFingerprint()
+	env := func(payload string) []byte {
+		data, err := json.Marshal(envelope{Kind: "thresholds", Schema: 1, Fingerprint: fp, Payload: json.RawMessage(payload)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	if _, err := LoadDB(strings.NewReader(`{"kind":"Nope","thresholds":{}}`)); err == nil {
-		t.Fatal("bad kind must error")
-	}
-	if _, err := LoadDB(strings.NewReader(`{"kind":"Varied","thresholds":{"garbage":1}}`)); err == nil {
-		t.Fatal("bad key must error")
+	for name, data := range map[string][]byte{
+		"bad JSON":  []byte("not json"),
+		"bad kind":  env(`{"dim":16,"kind":"Nope","thresholds":{}}`),
+		"bad key":   env(`{"dim":16,"kind":"Varied","thresholds":{"garbage":1}}`),
+		"loose key": env(`{"dim":16,"kind":"Varied","thresholds":{"batch=8,threads=1 extra":1}}`),
+		"no dim":    env(`{"kind":"Varied","thresholds":{}}`),
+	} {
+		if _, err := Thresholds.decode(data, fp); err == nil {
+			t.Errorf("%s must error", name)
+		}
 	}
 }

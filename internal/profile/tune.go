@@ -1,122 +1,67 @@
 package profile
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"log"
-	"os"
-	"runtime"
 
 	"secemb/internal/obs"
 	"secemb/internal/tensor"
 )
 
-// Kernel-autotuner persistence. Like the threshold DB, the autotune search
-// runs once per machine: the chosen block/worker configuration depends on
-// core count and cache geometry, not on the model or any secret, so a
-// deployment can pin a tuned config to disk and skip the startup probe on
-// subsequent runs. The file records the machine shape it was tuned on and
-// Load rejects a config recorded on different hardware — falling back to
-// re-tuning is always safe.
+// Startup kernel tuning, shared by every command. Like the threshold DB,
+// the autotune search runs once per machine: the chosen block/worker
+// configuration depends on core count and cache geometry, not on the model
+// or any secret, so a deployment can pin a tuned config to disk (the Tune
+// format) and skip the probe on later runs. The probe measures public
+// architecture shapes only.
 
-// MachineTune is the serialized kernel configuration plus the machine
-// fingerprint it was measured on.
-type MachineTune struct {
-	// GOMAXPROCS and NumCPU identify the machine shape the probe saw.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"numcpu"`
+// Autotune is the -autotune flag value: "on" probes the matmul kernel
+// configs at startup, "off" keeps the installed (static default) config.
+// It implements flag.Value, so any other value fails flag parsing.
+type Autotune bool
 
-	Tune tensor.TuneConfig `json:"tune"`
+func (a Autotune) String() string {
+	if a {
+		return "on"
+	}
+	return "off"
 }
 
-// CurrentMachineTune captures the installed kernel config with this
-// machine's fingerprint.
-func CurrentMachineTune() MachineTune {
-	return MachineTune{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Tune:       tensor.CurrentTune(),
+// Set parses "on" or "off".
+func (a *Autotune) Set(s string) error {
+	switch s {
+	case "on", "off":
+		*a = s == "on"
+		return nil
 	}
+	return errors.New("must be on or off")
 }
 
-// Matches reports whether the recorded fingerprint describes the running
-// machine.
-func (m MachineTune) Matches() bool {
-	return m.GOMAXPROCS == runtime.GOMAXPROCS(0) && m.NumCPU == runtime.NumCPU()
-}
-
-// SaveTune writes the machine tune as JSON.
-func SaveTune(w io.Writer, m MachineTune) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
-
-// LoadTune reads a machine tune written by SaveTune.
-func LoadTune(r io.Reader) (MachineTune, error) {
-	var m MachineTune
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return MachineTune{}, fmt.Errorf("profile: decoding machine tune: %w", err)
+// SetupTuning installs the kernel config a command starts with. A tune
+// file at path recorded on this machine wins; otherwise, when a is on, the
+// startup probe runs and, when path is given, its winner is saved there
+// for the next start. An empty path skips the file entirely. Progress
+// lines go to out; a skipped file is counted in reg (which may be nil).
+func (a Autotune) SetupTuning(path string, reg *obs.Registry, out io.Writer) error {
+	if path != "" {
+		tc, installed, err := Tune.Load(path, reg)
+		if err != nil {
+			return err
+		}
+		if installed {
+			tensor.SetTune(tc)
+			fmt.Fprintf(out, "kernel config loaded from %s: %+v\n", path, tensor.CurrentTune())
+			return nil
+		}
 	}
-	// Workers 0 is legitimate ("all procs", the pre-tune default); block
-	// and inline thresholds must be positive to be installable.
-	if m.Tune.Workers < 0 || m.Tune.BlockRows < 1 || m.Tune.InlineRows < 1 {
-		return MachineTune{}, fmt.Errorf("profile: machine tune %+v has out-of-range fields", m.Tune)
+	if !a {
+		return nil
 	}
-	return m, nil
-}
-
-// SaveTuneFile / LoadTuneFile are path conveniences.
-func SaveTuneFile(path string, m MachineTune) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	tc := tensor.Autotune()
+	fmt.Fprintf(out, "kernel autotune: %+v\n", tc)
+	if path == "" {
+		return nil
 	}
-	if err := SaveTune(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadTuneFile reads a machine tune from disk.
-func LoadTuneFile(path string) (MachineTune, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return MachineTune{}, err
-	}
-	defer f.Close()
-	return LoadTune(f)
-}
-
-// InstallTuneFile loads path and installs its config when the fingerprint
-// matches this machine; installed reports whether it did. A missing or
-// mismatched file is not an error — the caller should autotune instead —
-// but a fingerprint skip is never silent: it is logged and counted
-// (profile_install_skipped_total{kind="tune"} in reg) so an operator can
-// tell a stale tune file from a loaded one. reg may be nil.
-func InstallTuneFile(path string, reg *obs.Registry) (installed bool, err error) {
-	m, err := LoadTuneFile(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	if !m.Matches() {
-		logInstallSkip(reg, "tune", path, m.GOMAXPROCS, m.NumCPU)
-		return false, nil
-	}
-	tensor.SetTune(m.Tune)
-	return true, nil
-}
-
-// logInstallSkip records one fingerprint-mismatch skip of a persisted
-// profile artifact: a log line for operators and a labeled counter so
-// dashboards can alert on a fleet quietly re-probing every start.
-func logInstallSkip(reg *obs.Registry, kind, path string, recordedProcs, recordedCPUs int) {
-	log.Printf("profile: skipping %s file %s: machine fingerprint mismatch (recorded GOMAXPROCS=%d NumCPU=%d, running GOMAXPROCS=%d NumCPU=%d)",
-		kind, path, recordedProcs, recordedCPUs, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	reg.Counter("profile_install_skipped_total", "kind", kind, "reason", "fingerprint").Inc()
+	return Tune.Save(path, tc)
 }

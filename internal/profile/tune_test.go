@@ -1,9 +1,10 @@
 package profile
 
 import (
+	"flag"
+	"io"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"secemb/internal/obs"
@@ -11,57 +12,46 @@ import (
 )
 
 func TestTuneRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tune.json")
+	path := filepath.Join(t.TempDir(), "tune.json")
 	orig := tensor.CurrentTune()
 	defer tensor.SetTune(orig)
 
-	tensor.SetTune(tensor.TuneConfig{Workers: 1, BlockRows: 32, InlineRows: 4, Autotuned: true, ProbeNs: 123})
-	if err := SaveTuneFile(path, CurrentMachineTune()); err != nil {
+	want := tensor.TuneConfig{Workers: 1, BlockRows: 32, InlineRows: 4, Autotuned: true, ProbeNs: 123}
+	if err := Tune.Save(path, want); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadTuneFile(path)
-	if err != nil {
-		t.Fatal(err)
+	got, installed, err := Tune.Load(path, nil)
+	if err != nil || !installed {
+		t.Fatalf("load: installed=%v err=%v", installed, err)
 	}
-	if !m.Matches() {
-		t.Fatal("fingerprint of this machine must match itself")
-	}
-	if m.Tune.BlockRows != 32 || m.Tune.InlineRows != 4 || !m.Tune.Autotuned || m.Tune.ProbeNs != 123 {
-		t.Fatalf("round-trip lost fields: %+v", m.Tune)
+	if got != want {
+		t.Fatalf("round trip lost fields: %+v, want %+v", got, want)
 	}
 
-	// Install on the same machine applies the config.
+	// Startup on the same machine installs the file instead of probing.
 	tensor.SetTune(tensor.TuneConfig{})
-	ok, err := InstallTuneFile(path, nil)
-	if err != nil || !ok {
-		t.Fatalf("install: ok=%v err=%v", ok, err)
+	if err := Autotune(false).SetupTuning(path, nil, io.Discard); err != nil {
+		t.Fatal(err)
 	}
 	if got := tensor.CurrentTune(); got.BlockRows != 32 || got.InlineRows != 4 {
-		t.Fatalf("install did not apply: %+v", got)
+		t.Fatalf("startup did not install the file: %+v", got)
 	}
 }
 
 func TestTuneFingerprintMismatchSkipsInstall(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tune.json")
+	path := filepath.Join(t.TempDir(), "tune.json")
 	orig := tensor.CurrentTune()
 	defer tensor.SetTune(orig)
 
-	m := CurrentMachineTune()
-	m.GOMAXPROCS = runtime.GOMAXPROCS(0) + 7 // recorded on "other" hardware
-	if err := SaveTuneFile(path, m); err != nil {
-		t.Fatal(err)
-	}
+	fp := CurrentFingerprint()
+	fp.GOMAXPROCS = runtime.GOMAXPROCS(0) + 7 // recorded on "other" hardware
+	writeEnvelope(t, path, envelope{Kind: "tune", Schema: 1, Fingerprint: fp},
+		tensor.TuneConfig{Workers: 1, BlockRows: 32, InlineRows: 4})
 	sentinel := tensor.TuneConfig{Workers: 1, BlockRows: 99, InlineRows: 1}
 	tensor.SetTune(sentinel)
 	reg := obs.NewRegistry()
-	ok, err := InstallTuneFile(path, reg)
-	if err != nil {
+	if err := Autotune(false).SetupTuning(path, reg, io.Discard); err != nil {
 		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("mismatched fingerprint must not install")
 	}
 	if got := tensor.CurrentTune(); got.BlockRows != 99 {
 		t.Fatalf("mismatch overwrote the installed config: %+v", got)
@@ -72,17 +62,41 @@ func TestTuneFingerprintMismatchSkipsInstall(t *testing.T) {
 }
 
 func TestTuneMissingFileIsNotError(t *testing.T) {
-	ok, err := InstallTuneFile(filepath.Join(t.TempDir(), "absent.json"), nil)
-	if err != nil || ok {
-		t.Fatalf("missing file: ok=%v err=%v", ok, err)
+	path := filepath.Join(t.TempDir(), "absent.json")
+	if _, installed, err := Tune.Load(path, nil); err != nil || installed {
+		t.Fatalf("missing file: installed=%v err=%v", installed, err)
+	}
+	if err := Autotune(false).SetupTuning(path, nil, io.Discard); err != nil {
+		t.Fatalf("startup with a missing tune file and -autotune off: %v", err)
 	}
 }
 
 func TestTuneRejectsCorruptFields(t *testing.T) {
-	if _, err := LoadTune(strings.NewReader(`{"gomaxprocs":1,"numcpu":1,"tune":{"workers":0,"block_rows":0,"inline_rows":0}}`)); err == nil {
+	fp := CurrentFingerprint()
+	zeroed, err := Tune.encode(fp, tensor.TuneConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Tune.decode(zeroed, fp); err == nil {
 		t.Fatal("zeroed tune must be rejected")
 	}
-	if _, err := LoadTune(strings.NewReader(`not json`)); err == nil {
+	if _, err := Tune.decode([]byte(`not json`), fp); err == nil {
 		t.Fatal("garbage must be rejected")
+	}
+}
+
+func TestAutotuneFlag(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	a := Autotune(true)
+	fs.Var(&a, "autotune", "")
+	if err := fs.Parse([]string{"-autotune", "off"}); err != nil || a {
+		t.Fatalf("-autotune off: value %v err %v", a, err)
+	}
+	if err := fs.Parse([]string{"-autotune", "on"}); err != nil || !a || a.String() != "on" {
+		t.Fatalf("-autotune on: value %v err %v", a, err)
+	}
+	if err := fs.Parse([]string{"-autotune", "maybe"}); err == nil {
+		t.Fatal("-autotune maybe must fail flag parsing")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -90,7 +91,10 @@ func NewClient(cfg ClientConfig) *Client {
 	tr := &http.Transport{}
 	if cfg.TLS != nil {
 		protos.SetHTTP2(true)
-		tr.TLSClientConfig = cfg.TLS
+		// The HTTP/2-only transport deletes "http/1.1" from NextProtos in
+		// place: give it a private copy so the caller's config survives.
+		tr.TLSClientConfig = cfg.TLS.Clone()
+		tr.TLSClientConfig.NextProtos = slices.Clone(cfg.TLS.NextProtos)
 		scheme = "https://"
 	} else {
 		protos.SetUnencryptedHTTP2(true)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -120,6 +121,35 @@ func TestTLSRoundTrip(t *testing.T) {
 	defer plain.Close()
 	if _, err := plain.Embed(context.Background(), 1, ids); err == nil {
 		t.Fatal("cleartext client succeeded against a TLS listener")
+	}
+}
+
+// TestTLSConfigsSurviveAClient pins ALPN isolation: net/http's
+// HTTP/2-only client transport edits NextProtos in place, and that edit
+// must reach neither the caller's config nor any config made afterwards.
+// A shared ALPN slice once left ["h2", ""] behind after the first client,
+// and every later TLS pair failed its handshake.
+func TestTLSConfigsSurviveAClient(t *testing.T) {
+	want := []string{"h2", "http/1.1"}
+	for i := 0; i < 2; i++ {
+		srvTLS, cliTLS, err := SelfSignedTLS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(srvTLS.NextProtos, want) || !slices.Equal(cliTLS.NextProtos, want) {
+			t.Fatalf("pair %d: NextProtos server %q client %q, want %q", i, srvTLS.NextProtos, cliTLS.NextProtos, want)
+		}
+		s, addr, _ := testStack(t, ServerConfig{TLS: srvTLS})
+		c := NewClient(ClientConfig{Addr: addr, Timeout: 5 * time.Second, TLS: cliTLS})
+		err = c.Health(context.Background())
+		c.Close()
+		_ = s.DrainAll(context.Background())
+		if err != nil {
+			t.Fatalf("pair %d: handshake: %v", i, err)
+		}
+		if !slices.Equal(cliTLS.NextProtos, want) {
+			t.Fatalf("pair %d: the client edited the caller's NextProtos to %q", i, cliTLS.NextProtos)
+		}
 	}
 }
 
